@@ -52,7 +52,7 @@ __all__ = [
 
 #: Invalidation salt for stage bundles; bump on any change to squeeze,
 #: profiling, baseline layout, or the bundle format itself.
-STAGE_SALT = "pgcc-stages-v1"
+STAGE_SALT = "pgcc-stages-v2"
 
 #: Keys a bundle entry must carry to be trusted.
 BUNDLE_KEYS = (

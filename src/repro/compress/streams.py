@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.fields import FieldKind, from_bits, to_bits
+from repro.isa.fields import FIELD_WIDTHS, FieldKind, from_bits
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import FORMAT_FIELDS, OP_FORMAT, Op
 
@@ -46,17 +46,25 @@ _CODEC_FIELDS[OP_XCALLD] = (FieldKind.RA, FieldKind.BDISP)
 _CODEC_FIELDS[OP_XCALLI] = (FieldKind.RA, FieldKind.RB)
 _CODEC_FIELDS[OP_SENTINEL] = ()
 
-#: Map opcode value -> the Instruction attribute per codec field, for
-#: reconstructing real instructions.
-_ATTRS: dict[int, tuple[str, ...]] = {}
-for _op in Op:
-    if _op is Op.ILLEGAL:
-        continue
-    _ATTRS[int(_op)] = tuple(
-        attr
-        for _, attr in FORMAT_FIELDS[OP_FORMAT[_op]]
+#: Map opcode -> (Instruction attribute, field mask) per codec
+#: field: the instruction was range-checked when it was built, so its
+#: raw bit pattern is the value masked to the field width.
+_TO_CODEC: dict[Op, tuple[tuple[str, int], ...]] = {
+    op: tuple(
+        (attr, (1 << FIELD_WIDTHS[kind]) - 1)
+        for kind, attr in FORMAT_FIELDS[OP_FORMAT[op]]
         if attr is not None
     )
+    for op in Op
+}
+
+#: Map opcode value -> the Instruction attribute per codec field, for
+#: reconstructing real instructions.
+_ATTRS: dict[int, tuple[str, ...]] = {
+    int(op): tuple(attr for attr, _ in plan)
+    for op, plan in _TO_CODEC.items()
+    if op is not Op.ILLEGAL
+}
 
 
 @dataclass(frozen=True)
@@ -90,12 +98,12 @@ def codec_fields(opcode: int) -> tuple[FieldKind, ...]:
 
 def instruction_to_codec(instr: Instruction) -> CodecInstr:
     """Convert a real instruction to its codec representation."""
-    fields = []
-    for (kind, value) in instr.fields():
-        if kind is FieldKind.OPCODE or kind is FieldKind.SBZ:
-            continue
-        fields.append(to_bits(kind, value))
-    return CodecInstr(opcode=int(instr.op), fields=tuple(fields))
+    return CodecInstr(
+        opcode=int(instr.op),
+        fields=tuple(
+            getattr(instr, attr) & mask for attr, mask in _TO_CODEC[instr.op]
+        ),
+    )
 
 
 def codec_to_instruction(item: CodecInstr) -> Instruction:

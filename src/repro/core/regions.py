@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.costmodel import CostModel
+from repro.program.blocks import BasicBlock
 from repro.program.cfg import block_predecessors, block_successors
 from repro.program.program import Program
 
@@ -52,6 +53,8 @@ class RegionContext:
     """Pre-computed program facts shared by formation and packing."""
 
     program: Program
+    #: block label -> block of :attr:`program`
+    blocks: dict[str, BasicBlock]
     sizes: dict[str, int]
     preds: dict[str, list[str]]
     block_func: dict[str, str]
@@ -89,6 +92,7 @@ class RegionContext:
             forced.add(entries[program.entry])
         return cls(
             program=program,
+            blocks={b.label: b for _, b in program.all_blocks()},
             sizes=sizes,
             preds=block_predecessors(program),
             block_func=program.block_function(),
@@ -216,7 +220,7 @@ def _grow_tree(
         used += extra
         tree.append(label)
         tree_set.add(label)
-        _, block = ctx.program.find_block(label)
+        block = ctx.blocks[label]
         for succ in reversed(block_successors(ctx.program, block)):
             stack.append(succ)
     return tree
@@ -293,21 +297,23 @@ def pack_regions(
         for label in region.blocks:
             owner[label] = region.index
 
+    blocks = ctx.blocks
+
     def current_max_expanded() -> int:
         return max(
             (_expanded_size(set(r.blocks), ctx) for r in pool.values()),
             default=0,
         )
 
-    def merge_savings(a: Region, b: Region) -> int:
+    def merge_savings(
+        a: Region, b: Region, both: set[str], both_expanded: int,
+        max_expanded: int,
+    ) -> int:
         a_set, b_set = set(a.blocks), set(b.blocks)
-        both = a_set | b_set
         saved = 0
         # Merging may enlarge the largest region, and the runtime
         # buffer must hold it (the max term of Section 4's cost).
-        saved -= max(
-            0, _expanded_size(both, ctx) - current_max_expanded()
-        )
+        saved -= max(0, both_expanded - max_expanded)
         # One function-offset-table word is reclaimed per merge.
         saved += 1
         # Entry stubs no longer needed after the merge.
@@ -316,23 +322,19 @@ def pack_regions(
         saved += cost.entry_stub_words * (before - after)
         # Restore stubs for calls between the two regions.
         for label in a.blocks:
-            _, block = ctx.program.find_block(label)
-            for target in block.call_targets.values():
+            for target in blocks[label].call_targets.values():
                 if ctx.entries[target] in b_set:
                     saved += cost.restore_stub_words
         for label in b.blocks:
-            _, block = ctx.program.find_block(label)
-            for target in block.call_targets.values():
+            for target in blocks[label].call_targets.values():
                 if ctx.entries[target] in a_set:
                     saved += cost.restore_stub_words
         # Fall-through jumps between the regions.
         for label in a.blocks:
-            _, block = ctx.program.find_block(label)
-            if block.fallthrough in b_set:
+            if blocks[label].fallthrough in b_set:
                 saved += 1
         for label in b.blocks:
-            _, block = ctx.program.find_block(label)
-            if block.fallthrough in a_set:
+            if blocks[label].fallthrough in a_set:
                 saved += 1
         return saved
 
@@ -340,7 +342,7 @@ def pack_regions(
         pairs: set[tuple[int, int]] = set()
         for region in pool.values():
             for label in region.blocks:
-                _, block = ctx.program.find_block(label)
+                block = blocks[label]
                 neighbours = list(block_successors(ctx.program, block))
                 neighbours.extend(
                     ctx.entries[t] for t in block.call_targets.values()
@@ -356,12 +358,16 @@ def pack_regions(
     while True:
         best: tuple[int, int] | None = None
         best_gain = 0
+        # The pool only changes when a pair merges, so the largest
+        # region is the same for every candidate of this iteration.
+        max_expanded = current_max_expanded()
         for ia, ib in adjacent_pairs():
             a, b = pool[ia], pool[ib]
             merged = set(a.blocks) | set(b.blocks)
-            if _expanded_size(merged, ctx) > bound:
+            merged_expanded = _expanded_size(merged, ctx)
+            if merged_expanded > bound:
                 continue
-            gain = merge_savings(a, b)
+            gain = merge_savings(a, b, merged, merged_expanded, max_expanded)
             if gain > best_gain:
                 best, best_gain = (ia, ib), gain
         if best is None:

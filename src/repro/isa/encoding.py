@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.isa.fields import FIELD_WIDTHS, FieldKind, from_bits, to_bits
+from repro.isa.fields import FIELD_WIDTHS, FieldKind, from_bits
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import FORMAT_FIELDS, OP_FORMAT, Op
 
@@ -19,12 +19,31 @@ class DecodeError(Exception):
 _VALID_OPCODES = {int(op): op for op in Op}
 
 
+def _pack_plan(op: Op) -> tuple[int, tuple[tuple[str, int, int], ...]]:
+    """The opcode bits of *op* in place, and (attribute, shift, mask)
+    for each of its fields; SBZ pads stay zero and are left out."""
+    shift = WORD_BITS - FIELD_WIDTHS[FieldKind.OPCODE]
+    opbits = int(op) << shift
+    fields = []
+    for kind, attr in FORMAT_FIELDS[OP_FORMAT[op]]:
+        shift -= FIELD_WIDTHS[kind]
+        if attr is not None:
+            fields.append((attr, shift, (1 << FIELD_WIDTHS[kind]) - 1))
+    return opbits, tuple(fields)
+
+
+_PACK_PLAN = {op: _pack_plan(op) for op in Op}
+
+
 def encode(instr: Instruction) -> int:
-    """Pack *instr* into its 32-bit word."""
-    word = int(instr.op)
-    for kind, attr in FORMAT_FIELDS[instr.format]:
-        value = 0 if attr is None else getattr(instr, attr)
-        word = (word << FIELD_WIDTHS[kind]) | to_bits(kind, value)
+    """Pack *instr* into its 32-bit word.
+
+    No range check here: the :class:`Instruction` was checked when it
+    was built, so masking each field to its width is exact.
+    """
+    word, fields = _PACK_PLAN[instr.op]
+    for attr, shift, mask in fields:
+        word |= (getattr(instr, attr) & mask) << shift
     return word
 
 

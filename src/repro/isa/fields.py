@@ -58,20 +58,37 @@ def field_is_signed(kind: FieldKind) -> bool:
     return kind in _SIGNED_FIELDS
 
 
+#: Per-kind value range and bit mask, computed once.
+_MIN: dict[FieldKind, int] = {
+    kind: -(1 << (width - 1)) if kind in _SIGNED_FIELDS else 0
+    for kind, width in FIELD_WIDTHS.items()
+}
+_MAX: dict[FieldKind, int] = {
+    kind: (1 << (width - 1)) - 1 if kind in _SIGNED_FIELDS
+    else (1 << width) - 1
+    for kind, width in FIELD_WIDTHS.items()
+}
+_MASK: dict[FieldKind, int] = {
+    kind: (1 << width) - 1 for kind, width in FIELD_WIDTHS.items()
+}
+
+
 def field_max(kind: FieldKind) -> int:
     """Largest representable value for *kind*."""
-    width = FIELD_WIDTHS[kind]
-    if field_is_signed(kind):
-        return (1 << (width - 1)) - 1
-    return (1 << width) - 1
+    return _MAX[kind]
 
 
 def field_min(kind: FieldKind) -> int:
     """Smallest representable value for *kind*."""
-    width = FIELD_WIDTHS[kind]
-    if field_is_signed(kind):
-        return -(1 << (width - 1))
-    return 0
+    return _MIN[kind]
+
+
+def field_range_error(kind: FieldKind, value: int) -> ValueError:
+    """The error every field range check raises for *value*."""
+    return ValueError(
+        f"{kind.name} value {value} out of range "
+        f"[{_MIN[kind]}, {_MAX[kind]}]"
+    )
 
 
 def check_field(kind: FieldKind, value: int) -> int:
@@ -79,26 +96,28 @@ def check_field(kind: FieldKind, value: int) -> int:
 
     Raises :class:`ValueError` when the value is out of range.
     """
-    if not field_min(kind) <= value <= field_max(kind):
-        raise ValueError(
-            f"{kind.name} value {value} out of range "
-            f"[{field_min(kind)}, {field_max(kind)}]"
-        )
+    if not _MIN[kind] <= value <= _MAX[kind]:
+        raise field_range_error(kind, value)
     return value
 
 
 def to_bits(kind: FieldKind, value: int) -> int:
-    """Encode *value* as the raw unsigned bit pattern of the field."""
-    check_field(kind, value)
-    width = FIELD_WIDTHS[kind]
-    return value & ((1 << width) - 1)
+    """Encode *value* as the raw unsigned bit pattern of the field.
+
+    Checks the range, since *value* may be a raw number rather than an
+    already-validated :class:`~repro.isa.instruction.Instruction` field.
+    """
+    return check_field(kind, value) & _MASK[kind]
 
 
 def from_bits(kind: FieldKind, bits: int) -> int:
     """Decode the raw bit pattern *bits* back to a field value."""
-    width = FIELD_WIDTHS[kind]
-    if bits < 0 or bits >= (1 << width):
-        raise ValueError(f"{kind.name} bit pattern {bits} wider than {width} bits")
-    if field_is_signed(kind) and bits >= (1 << (width - 1)):
-        return bits - (1 << width)
+    mask = _MASK[kind]
+    if bits < 0 or bits > mask:
+        raise ValueError(
+            f"{kind.name} bit pattern {bits} wider than "
+            f"{FIELD_WIDTHS[kind]} bits"
+        )
+    if kind in _SIGNED_FIELDS and bits > _MAX[kind]:
+        return bits - (mask + 1)
     return bits

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.fields import FieldKind, check_field
+from repro.isa.fields import (
+    FieldKind,
+    field_max,
+    field_min,
+    field_range_error,
+)
 from repro.isa.opcodes import (
     COND_BRANCH_OPS,
     DIRECT_CALL_OPS,
@@ -18,6 +23,18 @@ from repro.isa.opcodes import (
 )
 
 
+#: Per-opcode range checks, built once: (attribute, lowest, highest,
+#: field kind) for every field the opcode's format carries.
+_FIELD_CHECKS: dict[Op, tuple[tuple[str, int, int, FieldKind], ...]] = {
+    op: tuple(
+        (attr, field_min(kind), field_max(kind), kind)
+        for kind, attr in FORMAT_FIELDS[OP_FORMAT[op]]
+        if attr is not None
+    )
+    for op in Op
+}
+
+
 @dataclass(frozen=True, slots=True)
 class Instruction:
     """One decoded instruction.
@@ -25,6 +42,11 @@ class Instruction:
     Only the attributes used by the instruction's format are meaningful;
     the rest keep their defaults.  ``imm`` holds whichever scalar payload
     the format defines (BDISP, MDISP, IMM16, LIT8, JHINT or PALF).
+
+    Construction is the one range check: every instance, including one
+    made by :func:`dataclasses.replace`, holds in-range fields, so
+    :func:`~repro.isa.encoding.encode` and the codec pack them without
+    checking again.
     """
 
     op: Op
@@ -35,9 +57,10 @@ class Instruction:
     imm: int = 0
 
     def __post_init__(self) -> None:
-        for kind, attr in FORMAT_FIELDS[self.format]:
-            if attr is not None:
-                check_field(kind, getattr(self, attr))
+        for attr, lo, hi, kind in _FIELD_CHECKS[self.op]:
+            value = getattr(self, attr)
+            if not lo <= value <= hi:
+                raise field_range_error(kind, value)
 
     @property
     def format(self) -> Format:

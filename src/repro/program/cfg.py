@@ -67,9 +67,10 @@ def reachable_blocks(program: Program) -> set[str]:
     for name in program.address_taken:
         push_function(name)
 
+    blocks = {block.label: block for _, block in program.all_blocks()}
     while worklist:
         label = worklist.popleft()
-        _, block = program.find_block(label)
+        block = blocks[label]
         for succ in block_successors(program, block):
             push_block(succ)
         for target in block.call_targets.values():

@@ -1,10 +1,15 @@
 """Whole-program IR serialisation (JSON-compatible dicts).
 
 The staged sweep harness persists squeeze output across processes and
-runs; this module is the faithful round-trip it relies on.  Dict
-insertion order carries layout order (functions, blocks, data objects)
-exactly as the in-memory IR does, so a deserialised program squashes
-byte-identically to the original.
+runs; this module is the faithful round-trip it relies on.  Lists carry
+layout order (functions, blocks, data objects) exactly as the in-memory
+IR does.  The index-keyed maps (``call_targets``, ``data_refs``, data
+``relocs``) are written as ``[index, value]`` pair lists, not JSON
+objects: an encoder that sorts object keys (the artifact store does)
+would reorder ``"10"`` before ``"2"``, and squash output depends on
+``call_targets``' insertion order (region packing breaks ties in the
+order it walks them).  So a deserialised program squashes
+byte-identically to the original under any JSON encoder.
 """
 
 from __future__ import annotations
@@ -18,7 +23,12 @@ from repro.program.program import Program
 
 __all__ = ["program_to_dict", "program_from_dict"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+
+def _pairs(index_map: dict[int, str]) -> list[list]:
+    """*index_map* as ``[index, value]`` pairs in insertion order."""
+    return [[index, value] for index, value in index_map.items()]
 
 
 def _instr_to_list(instr: Instruction) -> list[int]:
@@ -49,11 +59,9 @@ def _block_to_dict(block: BasicBlock) -> dict:
     if block.branch_target is not None:
         out["branch_target"] = block.branch_target
     if block.call_targets:
-        out["call_targets"] = {
-            str(k): v for k, v in block.call_targets.items()
-        }
+        out["call_targets"] = _pairs(block.call_targets)
     if block.data_refs:
-        out["data_refs"] = {str(k): v for k, v in block.data_refs.items()}
+        out["data_refs"] = _pairs(block.data_refs)
     if block.jump_table is not None:
         out["jump_table"] = {
             "data_symbol": block.jump_table.data_symbol,
@@ -69,12 +77,8 @@ def _block_from_dict(obj: dict) -> BasicBlock:
         instrs=[_instr_from_list(row) for row in obj["instrs"]],
         fallthrough=obj.get("fallthrough"),
         branch_target=obj.get("branch_target"),
-        call_targets={
-            int(k): v for k, v in obj.get("call_targets", {}).items()
-        },
-        data_refs={
-            int(k): v for k, v in obj.get("data_refs", {}).items()
-        },
+        call_targets=dict(obj.get("call_targets", ())),
+        data_refs=dict(obj.get("data_refs", ())),
         jump_table=(
             JumpTableInfo(
                 data_symbol=table["data_symbol"],
@@ -108,7 +112,7 @@ def program_to_dict(program: Program) -> dict:
             {
                 "name": obj.name,
                 "words": list(obj.words),
-                "relocs": {str(k): v for k, v in obj.relocs.items()},
+                "relocs": _pairs(obj.relocs),
                 "is_jump_table": obj.is_jump_table,
             }
             for obj in program.data.values()
@@ -138,9 +142,7 @@ def program_from_dict(obj: dict) -> Program:
             DataObject(
                 name=data_obj["name"],
                 words=list(data_obj["words"]),
-                relocs={
-                    int(k): v for k, v in data_obj["relocs"].items()
-                },
+                relocs=dict(data_obj["relocs"]),
                 is_jump_table=data_obj["is_jump_table"],
             )
         )

@@ -63,14 +63,22 @@ def _collect_candidates(
 ) -> dict[tuple[int, ...], list[tuple[str, int, int]]]:
     """Fingerprint windows: key -> [(block label, start, length)]."""
     table: dict[tuple[int, ...], list[tuple[str, int, int]]] = {}
+    # Instruction -> its word if it may be abstracted, else None; equal
+    # (frozen) instructions share one entry for this call.
+    movable: dict[Instruction, int | None] = {}
     for _, block in program.all_blocks():
         n = len(block.instrs)
         words = [0] * n
         ok = [False] * n
         for index, instr in enumerate(block.instrs):
-            ok[index] = _instr_ok(instr) and index not in block.data_refs
-            if ok[index]:
-                words[index] = encode(instr)
+            word = movable.get(instr, -1)
+            if word == -1:  # not seen yet (words are never negative)
+                word = movable[instr] = (
+                    encode(instr) if _instr_ok(instr) else None
+                )
+            if word is not None and index not in block.data_refs:
+                ok[index] = True
+                words[index] = word
         # Longest abstractable run starting at each index, excluding the
         # terminator so block structure stays intact.
         run = 0

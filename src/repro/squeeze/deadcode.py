@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Format, Op, SysOp
 from repro.program.blocks import BasicBlock
 from repro.program.cfg import block_successors
@@ -78,6 +79,25 @@ def _removable(instr) -> bool:
     )
 
 
+#: Per-instruction liveness facts: (uses, defs, the register a dead
+#: write would make removable, or None).
+_Facts = tuple[frozenset[int], frozenset[int], int | None]
+
+
+def _facts(instr: Instruction, memo: dict[Instruction, _Facts]) -> _Facts:
+    """The liveness facts of *instr*, memoised in *memo*.
+
+    Instructions are frozen values, so equal instructions share one
+    entry; *memo* lives for one :func:`eliminate_dead_stores` call.
+    """
+    facts = memo.get(instr)
+    if facts is None:
+        uses, defs = _instr_uses_defs(instr)
+        removable = instr.writes_reg if _removable(instr) else None
+        facts = memo[instr] = (uses, defs, removable)
+    return facts
+
+
 def _block_live_out(
     program: Program, function: Function, block: BasicBlock,
     live_in: dict[str, frozenset[int]],
@@ -102,11 +122,14 @@ def _block_live_out(
     return live
 
 
-def _transfer(block: BasicBlock, live_out: set[int]) -> frozenset[int]:
+def _transfer(
+    block: BasicBlock, live_out: set[int],
+    memo: dict[Instruction, _Facts],
+) -> frozenset[int]:
     """Live-in of *block* given its live-out."""
     live = set(live_out)
     for instr in reversed(block.instrs):
-        uses, defs = _instr_uses_defs(instr)
+        uses, defs, _ = _facts(instr, memo)
         live -= defs
         live |= uses
     return frozenset(live)
@@ -115,12 +138,16 @@ def _transfer(block: BasicBlock, live_out: set[int]) -> frozenset[int]:
 def eliminate_dead_stores(program: Program) -> DeadCodeStats:
     """Remove dead register writes from every function, in place."""
     stats = DeadCodeStats()
+    memo: dict[Instruction, _Facts] = {}
     for function in program.functions.values():
-        stats.stores_removed += _process_function(program, function)
+        stats.stores_removed += _process_function(program, function, memo)
     return stats
 
 
-def _process_function(program: Program, function: Function) -> int:
+def _process_function(
+    program: Program, function: Function,
+    memo: dict[Instruction, _Facts],
+) -> int:
     labels = list(function.blocks)
     live_in: dict[str, frozenset[int]] = {label: frozenset() for label in labels}
 
@@ -130,7 +157,7 @@ def _process_function(program: Program, function: Function) -> int:
         for label in reversed(labels):
             block = function.blocks[label]
             live_out = _block_live_out(program, function, block, live_in)
-            new_in = _transfer(block, live_out)
+            new_in = _transfer(block, live_out, memo)
             if new_in != live_in[label]:
                 live_in[label] = new_in
                 changed = True
@@ -140,15 +167,13 @@ def _process_function(program: Program, function: Function) -> int:
         block = function.blocks[label]
         live = set(_block_live_out(program, function, block, live_in))
         kept: list[int] = []
-        for index in range(len(block.instrs) - 1, -1, -1):
-            instr = block.instrs[index]
-            uses, defs = _instr_uses_defs(instr)
-            is_last = index == len(block.instrs) - 1
+        last = len(block.instrs) - 1
+        for index in range(last, -1, -1):
+            uses, defs, removable = _facts(block.instrs[index], memo)
             dead = (
-                _removable(instr)
-                and not is_last  # keep terminators in place
-                and instr.writes_reg is not None
-                and instr.writes_reg not in live
+                removable is not None
+                and index != last  # keep terminators in place
+                and removable not in live
             )
             if dead:
                 removed += 1

@@ -24,7 +24,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import AluOp, Op, REG_ZERO, SysOp
 from repro.program.data import DataObject
 from repro.program.program import Program
-from repro.squeeze.pipeline import squeeze
+from repro.squeeze.pipeline import SqueezeStats, squeeze
 from repro.workloads.builder import (
     A0,
     A1,
@@ -76,6 +76,12 @@ class GeneratedWorkload:
     handler_of_kind: dict[int, str] = field(default_factory=dict)
     #: Number of kinds items are reduced modulo.
     n_kinds: int = 0
+    #: ``squeeze(program)`` as the calibration loop computed it, when
+    #: the loop converged on this program; None otherwise.  Lets a
+    #: caller skip squeezing the same program again.
+    squeezed: tuple[Program, SqueezeStats] | None = field(
+        default=None, repr=False, compare=False
+    )
 
 
 def _alu_run(
@@ -311,7 +317,9 @@ def build_workload(
     When *calibrate* is true (and no explicit filler budget is given),
     the generator builds once with an estimate, measures the actual
     `squeeze` output, and rebuilds with a corrected filler budget so
-    the squeezed size lands on the Table 1 target.
+    the squeezed size lands on the Table 1 target.  When that loop
+    converges, the returned workload carries its last squeeze in
+    :attr:`GeneratedWorkload.squeezed`.
     """
     if filler_budget is not None or not calibrate:
         budget = filler_budget if filler_budget is not None else 0
@@ -320,9 +328,10 @@ def build_workload(
     estimate = int(spec.target_squeeze_size * 0.9)
     workload = _build_once(spec, estimate)
     for _ in range(3):
-        squeezed, _ = squeeze(workload.program)
+        squeezed, stats = squeeze(workload.program)
         delta = spec.target_squeeze_size - squeezed.code_size
         if abs(delta) <= max(8, spec.target_squeeze_size // 500):
+            workload.squeezed = (squeezed, stats)
             break
         estimate += delta
         workload = _build_once(spec, max(0, estimate))

@@ -115,7 +115,10 @@ def mediabench_program(name: str, scale: float = 1.0) -> MediabenchProgram:
     """
     spec = mediabench_spec(name, scale=scale)
     workload = build_workload(spec)
-    squeezed, stats = squeeze(workload.program)
+    if workload.squeezed is not None:
+        squeezed, stats = workload.squeezed
+    else:  # calibration did not converge on the final build
+        squeezed, stats = squeeze(workload.program)
     result = layout(squeezed)
     profile_in = profiling_input(workload)
     timing_in = timing_input(workload)

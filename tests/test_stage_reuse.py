@@ -1,6 +1,7 @@
 """Incremental sweep reuse of θ-invariant stage artifacts."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -26,8 +27,47 @@ class TestBundleRoundTrip:
 
         squeezed = mediabench_program("adpcm", scale=SCALE).squeezed
         payload = program_to_dict(squeezed)
-        again = program_to_dict(program_from_dict(payload))
-        assert again == payload
+        # Through a key-sorting encoder, as the artifact store writes
+        # it; compared as unsorted JSON text, so order counts too.
+        stored = json.loads(json.dumps(payload, sort_keys=True))
+        again = program_to_dict(program_from_dict(stored))
+        assert json.dumps(again) == json.dumps(payload)
+        blocks = {b.label: b for _, b in squeezed.all_blocks()}
+        for _, block in program_from_dict(stored).all_blocks():
+            original = blocks[block.label]
+            assert list(block.call_targets.items()) == list(
+                original.call_targets.items()
+            )
+            assert list(block.data_refs.items()) == list(
+                original.data_refs.items()
+            )
+        for obj in program_from_dict(stored).data.values():
+            assert list(obj.relocs.items()) == list(
+                squeezed.data[obj.name].relocs.items()
+            )
+
+    def test_stored_bundle_squashes_to_same_cycles(self, tmp_path):
+        # Regression: index-keyed maps written as JSON objects came back
+        # from the store in sorted-key order, and adpcm@0.3 at θ=1e-5
+        # then ran 732,963 cycles instead of 732,959.
+        from repro.core.pipeline import SquashConfig, squash_program
+
+        scale = 0.3
+        bundle = stagecache.warm_bundle(tmp_path, "adpcm", scale)
+        stagecache.reset_counters()  # the next load reads the store
+        stored = stagecache.load_bundle(tmp_path, "adpcm", scale)
+        assert stored is not None and stored is not bundle
+        assert stagecache.STAGE_COUNTERS["loaded"] == 1
+        config = SquashConfig(theta=experiments.map_theta(1e-5))
+        cycles = []
+        for source in (bundle, stored):
+            result = squash_program(
+                source.program, source.profile, config,
+                baseline_words=source.baseline_words,
+            )
+            run, _ = result.run(source.timing_input, max_steps=500_000_000)
+            cycles.append(run.cycles)
+        assert cycles[0] == cycles[1] == 732_959
 
     def test_warm_then_load_round_trips(self, tmp_path):
         bundle = stagecache.warm_bundle(tmp_path, "adpcm", SCALE)
@@ -99,12 +139,29 @@ class TestSweepReuse:
         rows = parallel.fig6_rows(
             NAMES, scale=SCALE, thetas=(1e-4,), parallel=False
         )
-        assert len(rows) == len(NAMES)
+        assert rows == experiments.fig6_rows(
+            NAMES, scale=SCALE, thetas=(1e-4,)
+        )
         assert stagecache.STAGE_COUNTERS["computed"] == 0
         assert (
             stagecache.STAGE_COUNTERS["loaded"]
             + stagecache.STAGE_COUNTERS["memo"]
             >= len(NAMES)
+        )
+
+    def test_second_time_sweep_equals_serial_rows(self):
+        # A warm store must not change results: the second sweep's
+        # cells squash stage bundles read back from disk.
+        parallel.fig7_time_rows(
+            NAMES, scale=SCALE, thetas=(0.0,), parallel=False
+        )
+        stagecache.reset_counters()
+        rows = parallel.fig7_time_rows(
+            NAMES, scale=SCALE, thetas=(1e-5,), parallel=False
+        )
+        assert stagecache.STAGE_COUNTERS["loaded"] == len(NAMES)
+        assert rows == experiments.fig7_time_rows(
+            NAMES, scale=SCALE, thetas=(1e-5,)
         )
 
     def test_rows_identical_with_reuse_disabled(
